@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/Serialize.h"
+#include "core/Protocols.h"
 #include "exec/ExecContext.h"
 #include "obs/Metrics.h"
 #include "util/Log.h"
@@ -103,6 +103,7 @@ std::vector<uint8_t>
 DurableProofService::proveTask(const journal::TaskRecord &task,
                                const CrashHook &crash, bool &crashed)
 {
+    const Protocol &p = protocol(task.kind);
     Rng rng = taskRng(task);
     exec::ExecContext exec(
         exec::ExecConfig{.threads = opt_.threads});
@@ -111,37 +112,18 @@ DurableProofService::proveTask(const journal::TaskRecord &task,
         hook = [&](ProveStage stage) {
             return crash(task.task_id, stage);
         };
-    crashed = false;
-    if (task.kind == sched::ProtocolKind::HighDegreeGate) {
-        auto tables = highDegreeInstance<Fr>(task.n_vars, rng);
-        HighDegreeSnark<Fr> snark(task.n_vars, task.seed,
-                                  opt_.column_openings);
-        snark.setExec(&exec);
-        auto proof = snark.proveInterruptible(tables, {}, hook);
-        crashed = !proof.has_value();
-        if (crashed)
-            return {};
-        HighDegreeSnark<Fr> verifier(task.n_vars, task.seed,
-                                     opt_.column_openings);
-        if (!verifier.verify(*proof, {}))
-            panic("DurableProofService: task %llu produced an invalid "
-                  "high-degree proof",
-                  static_cast<unsigned long long>(task.task_id));
-        return serializeHighDegreeProof(*proof);
-    }
-    auto tables = randomInstance(task.n_vars, rng);
-    Snark<Fr> snark(task.n_vars, task.seed, opt_.column_openings);
-    snark.setExec(&exec);
-    auto proof = snark.proveInterruptible(tables, {}, hook);
-    crashed = !proof.has_value();
+    auto bytes = p.prove(p.instance(task.n_vars, rng), task.seed,
+                         opt_.column_openings, &exec, hook);
+    crashed = !bytes.has_value();
     if (crashed)
         return {};
-    Snark<Fr> verifier(task.n_vars, task.seed, opt_.column_openings);
-    if (!verifier.verify(*proof, {}))
-        panic("DurableProofService: task %llu produced an invalid "
+    if (!p.verify(*bytes, task.n_vars, task.seed, opt_.column_openings,
+                  {}))
+        panic("DurableProofService: task %llu produced an invalid %s "
               "proof",
-              static_cast<unsigned long long>(task.task_id));
-    return serializeProof(*proof);
+              static_cast<unsigned long long>(task.task_id),
+              sched::protocolKindName(task.kind));
+    return std::move(*bytes);
 }
 
 size_t
@@ -231,24 +213,9 @@ DurableProofService::verifyAll() const
             continue;
         // Completion records predate protocol kinds; the proof's own
         // leading tag byte says which verifier replays it.
-        if (completion.proof[0] == detail::kHighDegreeProofTag) {
-            auto proof =
-                deserializeHighDegreeProof<Fr>(completion.proof);
-            if (!proof)
-                return false;
-            HighDegreeSnark<Fr> verifier(completion.n_vars,
-                                         completion.seed,
-                                         opt_.column_openings);
-            if (!verifier.verify(*proof, {}))
-                return false;
-            continue;
-        }
-        auto proof = deserializeProof<Fr>(completion.proof);
-        if (!proof)
-            return false;
-        Snark<Fr> verifier(completion.n_vars, completion.seed,
-                           opt_.column_openings);
-        if (!verifier.verify(*proof, {}))
+        const Protocol *p = protocolByTag(completion.proof[0]);
+        if (!p || !p->verify(completion.proof, completion.n_vars,
+                             completion.seed, opt_.column_openings, {}))
             return false;
     }
     return true;

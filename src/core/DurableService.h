@@ -152,8 +152,8 @@ class DurableProofService
     /**
      * Prove one journaled task with its protocol's prover and return
      * the serialized proof bytes (empty with @p crashed set when the
-     * crash hook cut processing short). Dispatch is on the record's
-     * kind; both provers share the ProveStage hook seams.
+     * crash hook cut processing short). The record's kind picks its
+     * protocol row; every row's prover has the same ProveStage seams.
      */
     std::vector<uint8_t> proveTask(const journal::TaskRecord &task,
                                    const CrashHook &crash, bool &crashed);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/Protocols.h"
 #include "encoder/GpuEncoder.h"
 #include "exec/ExecContext.h"
 #include "ff/FieldBackend.h"
@@ -128,9 +129,7 @@ SystemWorkModel
 protocolWorkModel(sched::ProtocolKind kind, unsigned n_vars,
                   uint64_t seed)
 {
-    if (kind == sched::ProtocolKind::HighDegreeGate)
-        return highDegreeWorkModel(n_vars, seed);
-    return systemWorkModel(n_vars, seed);
+    return protocol(kind).work_model(n_vars, seed);
 }
 
 sched::StageGraph

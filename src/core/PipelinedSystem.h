@@ -153,7 +153,7 @@ SystemWorkModel systemWorkModel(unsigned n_vars, uint64_t seed);
  */
 SystemWorkModel highDegreeWorkModel(unsigned n_vars, uint64_t seed);
 
-/** Work model for @p kind (dispatches to the two models above). */
+/** Work model for @p kind (its row in the protocol table). */
 SystemWorkModel protocolWorkModel(sched::ProtocolKind kind,
                                   unsigned n_vars, uint64_t seed);
 

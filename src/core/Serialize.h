@@ -28,10 +28,10 @@ namespace bzk {
 
 namespace detail {
 
-constexpr uint8_t kSnarkProofTag = 0x01;
+// Table-SNARK proofs lead with their gate's kProofTag (0x01 for
+// MulGate, 0x04 for Pow4Gate).
 constexpr uint8_t kFullSnarkProofTag = 0x02;
 constexpr uint8_t kGkrProofTag = 0x03;
-constexpr uint8_t kHighDegreeProofTag = 0x04;
 /** Caps for hostile length prefixes. */
 constexpr size_t kMaxRounds = 64;
 constexpr size_t kMaxRowLen = size_t{1} << 24;
@@ -124,20 +124,20 @@ readRounds(ByteReader &r)
 
 } // namespace detail
 
-/** Encode a table-commitment proof. */
-template <typename F>
+/** Encode a table-SNARK proof of @p Gate, led by the gate's tag. */
+template <typename Gate, typename F>
 std::vector<uint8_t>
-serializeProof(const SnarkProof<F> &proof)
+serializeTableProof(const typename Gate::template Proof<F> &proof)
 {
     ByteWriter w;
-    w.u8(detail::kSnarkProofTag);
+    w.u8(Gate::kProofTag);
     w.digest(proof.commit_a.root);
     w.u8(static_cast<uint8_t>(proof.commit_a.n_vars));
     w.digest(proof.commit_b.root);
     w.u8(static_cast<uint8_t>(proof.commit_b.n_vars));
     w.digest(proof.commit_c.root);
     w.u8(static_cast<uint8_t>(proof.commit_c.n_vars));
-    detail::writeRounds(w, proof.constraint_sc);
+    detail::writeRounds(w, proof.*Gate::template kSumcheck<F>);
     w.field(proof.va);
     w.field(proof.vb);
     w.field(proof.vc);
@@ -145,6 +145,44 @@ serializeProof(const SnarkProof<F> &proof)
     detail::writeEvalProof(w, proof.open_b);
     detail::writeEvalProof(w, proof.open_c);
     return w.take();
+}
+
+/**
+ * Decode a table-SNARK proof of @p Gate; nullopt when malformed or
+ * led by another gate's tag.
+ */
+template <typename Gate, typename F>
+std::optional<typename Gate::template Proof<F>>
+deserializeTableProof(std::span<const uint8_t> bytes)
+{
+    ByteReader r(bytes);
+    if (r.u8() != Gate::kProofTag)
+        return std::nullopt;
+    typename Gate::template Proof<F> proof;
+    proof.commit_a.root = r.digest();
+    proof.commit_a.n_vars = r.u8();
+    proof.commit_b.root = r.digest();
+    proof.commit_b.n_vars = r.u8();
+    proof.commit_c.root = r.digest();
+    proof.commit_c.n_vars = r.u8();
+    proof.*Gate::template kSumcheck<F> = detail::readRounds<F>(r);
+    proof.va = r.field<F>();
+    proof.vb = r.field<F>();
+    proof.vc = r.field<F>();
+    proof.open_a = detail::readEvalProof<F>(r);
+    proof.open_b = detail::readEvalProof<F>(r);
+    proof.open_c = detail::readEvalProof<F>(r);
+    if (!r.ok() || r.remaining() != 0)
+        return std::nullopt;
+    return proof;
+}
+
+/** Encode a table-commitment proof. */
+template <typename F>
+std::vector<uint8_t>
+serializeProof(const SnarkProof<F> &proof)
+{
+    return serializeTableProof<MulGate, F>(proof);
 }
 
 /** Decode a table-commitment proof; nullopt when malformed. */
@@ -152,26 +190,7 @@ template <typename F>
 std::optional<SnarkProof<F>>
 deserializeProof(std::span<const uint8_t> bytes)
 {
-    ByteReader r(bytes);
-    if (r.u8() != detail::kSnarkProofTag)
-        return std::nullopt;
-    SnarkProof<F> proof;
-    proof.commit_a.root = r.digest();
-    proof.commit_a.n_vars = r.u8();
-    proof.commit_b.root = r.digest();
-    proof.commit_b.n_vars = r.u8();
-    proof.commit_c.root = r.digest();
-    proof.commit_c.n_vars = r.u8();
-    proof.constraint_sc = detail::readRounds<F>(r);
-    proof.va = r.field<F>();
-    proof.vb = r.field<F>();
-    proof.vc = r.field<F>();
-    proof.open_a = detail::readEvalProof<F>(r);
-    proof.open_b = detail::readEvalProof<F>(r);
-    proof.open_c = detail::readEvalProof<F>(r);
-    if (!r.ok() || r.remaining() != 0)
-        return std::nullopt;
-    return proof;
+    return deserializeTableProof<MulGate, F>(bytes);
 }
 
 /** Encode a high-degree gate proof (SnarkProof layout, own tag). */
@@ -179,22 +198,7 @@ template <typename F>
 std::vector<uint8_t>
 serializeHighDegreeProof(const HighDegreeProof<F> &proof)
 {
-    ByteWriter w;
-    w.u8(detail::kHighDegreeProofTag);
-    w.digest(proof.commit_a.root);
-    w.u8(static_cast<uint8_t>(proof.commit_a.n_vars));
-    w.digest(proof.commit_b.root);
-    w.u8(static_cast<uint8_t>(proof.commit_b.n_vars));
-    w.digest(proof.commit_c.root);
-    w.u8(static_cast<uint8_t>(proof.commit_c.n_vars));
-    detail::writeRounds(w, proof.gate_sc);
-    w.field(proof.va);
-    w.field(proof.vb);
-    w.field(proof.vc);
-    detail::writeEvalProof(w, proof.open_a);
-    detail::writeEvalProof(w, proof.open_b);
-    detail::writeEvalProof(w, proof.open_c);
-    return w.take();
+    return serializeTableProof<Pow4Gate, F>(proof);
 }
 
 /** Decode a high-degree gate proof; nullopt when malformed. */
@@ -202,26 +206,7 @@ template <typename F>
 std::optional<HighDegreeProof<F>>
 deserializeHighDegreeProof(std::span<const uint8_t> bytes)
 {
-    ByteReader r(bytes);
-    if (r.u8() != detail::kHighDegreeProofTag)
-        return std::nullopt;
-    HighDegreeProof<F> proof;
-    proof.commit_a.root = r.digest();
-    proof.commit_a.n_vars = r.u8();
-    proof.commit_b.root = r.digest();
-    proof.commit_b.n_vars = r.u8();
-    proof.commit_c.root = r.digest();
-    proof.commit_c.n_vars = r.u8();
-    proof.gate_sc = detail::readRounds<F>(r);
-    proof.va = r.field<F>();
-    proof.vb = r.field<F>();
-    proof.vc = r.field<F>();
-    proof.open_a = detail::readEvalProof<F>(r);
-    proof.open_b = detail::readEvalProof<F>(r);
-    proof.open_c = detail::readEvalProof<F>(r);
-    if (!r.ok() || r.remaining() != 0)
-        return std::nullopt;
-    return proof;
+    return deserializeTableProof<Pow4Gate, F>(bytes);
 }
 
 /** Encode a wiring-sound proof. */

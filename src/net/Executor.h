@@ -6,12 +6,12 @@
  * Proof executors for the network server: the pluggable "what does a
  * task cost" seam between the connection manager and the provers.
  *
- * SnarkExecutor produces real table-commitment proofs with the same
- * (task_id, seed, n_vars) instance derivation as the durable service,
- * so a proof served over the wire verifies with Snark(n_vars,
- * seed).verify(proof, {}) and matches what `batchzk recover` would
- * re-prove. DigestExecutor is the soak-bench stand-in: a deterministic
- * 32-byte pseudo-proof (SHA-256 of the task identity) that keeps
+ * SnarkExecutor produces real proofs of the task's protocol kind with
+ * the same (task_id, seed, n_vars) instance derivation as the durable
+ * service, so a proof served over the wire verifies with its kind's
+ * protocol row and matches what `batchzk recover` would re-prove.
+ * DigestExecutor is the soak-bench stand-in: a deterministic 32-byte
+ * pseudo-proof (SHA-256 of the task identity) that keeps
  * bench_net's thousands of connections bounded by the network layer,
  * not the prover.
  *
@@ -41,7 +41,8 @@ class SnarkExecutor : public ProofExecutor
 {
   public:
     /**
-     * @param column_openings PCS spot-check count (the Snark default).
+     * @param column_openings PCS spot-check count (the TableSnark
+     * default).
      * Each execute() proves serially (threads = 1); parallelism comes
      * from the server's worker pool running many tasks at once.
      */

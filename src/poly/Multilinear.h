@@ -142,6 +142,24 @@ eqTable(const std::vector<F> &r)
 }
 
 /**
+ * eq(tau, r) at one point, without the table:
+ * prod_i ((1 - tau_i)(1 - r_i) + tau_i r_i). Equals
+ * Multilinear(eqTable(tau)).evaluate(r) in O(n) instead of O(2^n).
+ */
+template <typename F>
+F
+eqEval(const std::vector<F> &tau, const std::vector<F> &r)
+{
+    if (tau.size() != r.size())
+        panic("eqEval: %zu-var tau at a %zu-var point", tau.size(),
+              r.size());
+    F acc = F::one();
+    for (size_t i = 0; i < tau.size(); ++i)
+        acc *= (F::one() - tau[i]) * (F::one() - r[i]) + tau[i] * r[i];
+    return acc;
+}
+
+/**
  * Lagrange interpolation of the unique degree-(k-1) univariate polynomial
  * through points (xs[i], ys[i]), evaluated at @p x. Used by the system to
  * encode host-side intermediate results into polynomials (Sec. 4).

@@ -13,7 +13,9 @@
  * (wire version 2), so existing values must never be renumbered.
  */
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 
 namespace bzk::sched {
@@ -41,40 +43,29 @@ constexpr size_t kNumProtocolKinds = 2;
 inline const char *
 protocolKindName(ProtocolKind kind)
 {
-    switch (kind) {
-      case ProtocolKind::TableCommit:
-        return "table-commit";
-      case ProtocolKind::HighDegreeGate:
-        return "high-degree-gate";
-    }
-    return "?";
+    constexpr const char *kNames[] = {"table-commit", "high-degree-gate"};
+    static_assert(std::size(kNames) == kNumProtocolKinds);
+    auto i = static_cast<size_t>(kind);
+    return i < kNumProtocolKinds ? kNames[i] : "?";
 }
 
 /** Metric-safe name ("table_commit", "high_degree_gate"). */
 inline const char *
 protocolKindMetricName(ProtocolKind kind)
 {
-    switch (kind) {
-      case ProtocolKind::TableCommit:
-        return "table_commit";
-      case ProtocolKind::HighDegreeGate:
-        return "high_degree_gate";
-    }
-    return "unknown";
+    constexpr const char *kNames[] = {"table_commit", "high_degree_gate"};
+    static_assert(std::size(kNames) == kNumProtocolKinds);
+    auto i = static_cast<size_t>(kind);
+    return i < kNumProtocolKinds ? kNames[i] : "unknown";
 }
 
 /** Decode a wire/journal byte; nullopt for unknown kinds. */
 inline std::optional<ProtocolKind>
 protocolKindFromByte(uint8_t byte)
 {
-    switch (byte) {
-      case static_cast<uint8_t>(ProtocolKind::TableCommit):
-        return ProtocolKind::TableCommit;
-      case static_cast<uint8_t>(ProtocolKind::HighDegreeGate):
-        return ProtocolKind::HighDegreeGate;
-      default:
+    if (byte >= kNumProtocolKinds)
         return std::nullopt;
-    }
+    return static_cast<ProtocolKind>(byte);
 }
 
 } // namespace bzk::sched

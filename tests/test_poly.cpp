@@ -123,6 +123,24 @@ TYPED_TEST(MultilinearTest, EqTableMatchesMultilinearEvaluate)
     EXPECT_EQ(via_eq, p.evaluate(r));
 }
 
+TYPED_TEST(MultilinearTest, EqEvalMatchesEqTableExtension)
+{
+    using F = TypeParam;
+    Rng rng(7);
+    for (unsigned n : {0u, 1u, 3u, 6u}) {
+        for (int trial = 0; trial < 4; ++trial) {
+            std::vector<F> tau(n), r(n);
+            for (auto &t : tau)
+                t = F::random(rng);
+            for (auto &x : r)
+                x = F::random(rng);
+            EXPECT_EQ(eqEval(tau, r),
+                      Multilinear<F>(eqTable(tau)).evaluate(r))
+                << "n=" << n;
+        }
+    }
+}
+
 TYPED_TEST(MultilinearTest, LagrangeRecoversPolynomial)
 {
     using F = TypeParam;

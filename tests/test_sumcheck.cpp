@@ -8,11 +8,12 @@
 
 #include <thread>
 
+#include "core/HighDegreeSnark.h"
 #include "exec/ExecContext.h"
 #include "ff/Fields.h"
 #include "gpusim/Device.h"
+#include "sumcheck/GateSumcheck.h"
 #include "sumcheck/GpuSumcheck.h"
-#include "sumcheck/HighDegreeGate.h"
 #include "sumcheck/Sumcheck.h"
 
 namespace bzk {
@@ -275,6 +276,9 @@ TYPED_TEST(SumcheckT, ProductSumcheckRejectsWrongSum)
     EXPECT_FALSE(verifyProductSumcheckFs(sum + F::one(), proof, vt).ok);
 }
 
+/** The high-degree gate's own transcript labels. */
+constexpr SumcheckLabels kHdgLabels = Pow4Gate::kLabels;
+
 /** Satisfied high-degree gate tables: c = a^4 * b pointwise. */
 template <typename F>
 struct HdgInstance
@@ -314,14 +318,15 @@ TYPED_TEST(SumcheckT, HighDegreeGateCompleteness)
         auto fold = inst; // prover folds in place
         Transcript pt("hdg-test");
         std::vector<F> point;
-        auto proof = proveHighDegreeGateFs(fold.eq, fold.a, fold.b,
-                                           fold.c, pt, &point);
+        auto proof = proveGateSumcheckFs<F, Pow4Gate>(
+            fold.eq, fold.a, fold.b, fold.c, pt, kHdgLabels, &point);
         ASSERT_EQ(proof.rounds.size(), n);
         for (const auto &g : proof.rounds)
-            EXPECT_EQ(g.size(), kHighDegreeGateEvals);
+            EXPECT_EQ(g.size(), Pow4Gate::kDegree + 1);
 
         Transcript vt("hdg-test");
-        auto verdict = verifyHighDegreeGateFs(F::zero(), proof, vt);
+        auto verdict = verifyGateSumcheckFs<F, Pow4Gate>(
+            F::zero(), proof, vt, kHdgLabels);
         ASSERT_TRUE(verdict.ok) << "n=" << n;
         EXPECT_EQ(verdict.point, point);
 
@@ -346,10 +351,11 @@ TYPED_TEST(SumcheckT, HighDegreeGateRejectsUnsatisfiedRow)
     auto inst = randomHdgInstance<F>(4, rng);
     inst.c[5] += F::one(); // break the gate identity at one row
     Transcript pt("hdg-test");
-    auto proof =
-        proveHighDegreeGateFs(inst.eq, inst.a, inst.b, inst.c, pt);
+    auto proof = proveGateSumcheckFs<F, Pow4Gate>(
+        inst.eq, inst.a, inst.b, inst.c, pt, kHdgLabels);
     Transcript vt("hdg-test");
-    auto verdict = verifyHighDegreeGateFs(F::zero(), proof, vt);
+    auto verdict = verifyGateSumcheckFs<F, Pow4Gate>(F::zero(), proof,
+                                                     vt, kHdgLabels);
     // With overwhelming probability eq(tau, 5) != 0, so the sum is
     // nonzero and the first-round check g[0] + g[1] == 0 fails.
     EXPECT_FALSE(verdict.ok);
@@ -362,15 +368,15 @@ TYPED_TEST(SumcheckT, HighDegreeGateRejectsTamperedRound)
     auto inst = randomHdgInstance<F>(4, rng);
     auto fold = inst;
     Transcript pt("hdg-test");
-    auto proof = proveHighDegreeGateFs(fold.eq, fold.a, fold.b,
-                                       fold.c, pt);
+    auto proof = proveGateSumcheckFs<F, Pow4Gate>(
+        fold.eq, fold.a, fold.b, fold.c, pt, kHdgLabels);
     for (size_t round = 0; round < 4; ++round) {
         for (size_t t : {size_t{0}, size_t{3}, size_t{6}}) {
             auto bad = proof;
             bad.rounds[round][t] += F::one();
             Transcript vt("hdg-test");
-            auto verdict =
-                verifyHighDegreeGateFs(F::zero(), bad, vt);
+            auto verdict = verifyGateSumcheckFs<F, Pow4Gate>(
+                F::zero(), bad, vt, kHdgLabels);
             // A tampered evaluation either breaks a round-sum check
             // directly or (via Fiat-Shamir) derails every later
             // challenge; the final claim then cannot match the gate.
@@ -379,8 +385,9 @@ TYPED_TEST(SumcheckT, HighDegreeGateRejectsTamperedRound)
             std::vector<F> pt2;
             bool caught = !verdict.ok;
             if (!caught) {
-                auto honest = proveHighDegreeGateFs(
-                    check.eq, check.a, check.b, check.c, ct, &pt2);
+                auto honest = proveGateSumcheckFs<F, Pow4Gate>(
+                    check.eq, check.a, check.b, check.c, ct, kHdgLabels,
+                    &pt2);
                 caught = verdict.point != pt2;
             }
             EXPECT_TRUE(caught)
@@ -395,12 +402,14 @@ TYPED_TEST(SumcheckT, HighDegreeGateWrongEvalCountIsRejected)
     Rng rng(74);
     auto inst = randomHdgInstance<F>(3, rng);
     Transcript pt("hdg-test");
-    auto proof =
-        proveHighDegreeGateFs(inst.eq, inst.a, inst.b, inst.c, pt);
+    auto proof = proveGateSumcheckFs<F, Pow4Gate>(
+        inst.eq, inst.a, inst.b, inst.c, pt, kHdgLabels);
     auto bad = proof;
     bad.rounds[1].pop_back(); // 6 evals cannot pin a degree-6 poly
     Transcript vt("hdg-test");
-    EXPECT_FALSE(verifyHighDegreeGateFs(F::zero(), bad, vt).ok);
+    auto verdict = verifyGateSumcheckFs<F, Pow4Gate>(F::zero(), bad, vt,
+                                                     kHdgLabels);
+    EXPECT_FALSE(verdict.ok);
 }
 
 TYPED_TEST(SumcheckT, HighDegreeGateProofBitIdenticalAcrossThreadCounts)
@@ -412,8 +421,9 @@ TYPED_TEST(SumcheckT, HighDegreeGateProofBitIdenticalAcrossThreadCounts)
     auto serial = inst;
     Transcript st("hdg-threads");
     std::vector<F> serial_point;
-    auto serial_proof = proveHighDegreeGateFs(
-        serial.eq, serial.a, serial.b, serial.c, st, &serial_point);
+    auto serial_proof = proveGateSumcheckFs<F, Pow4Gate>(
+        serial.eq, serial.a, serial.b, serial.c, st, kHdgLabels,
+        &serial_point);
 
     for (size_t threads : {size_t{2}, size_t{5}}) {
         exec::ExecConfig cfg;
@@ -422,8 +432,8 @@ TYPED_TEST(SumcheckT, HighDegreeGateProofBitIdenticalAcrossThreadCounts)
         auto par = inst;
         Transcript ptt("hdg-threads");
         std::vector<F> point;
-        auto proof = proveHighDegreeGateFs(par.eq, par.a, par.b,
-                                           par.c, ptt, &point, &exec);
+        auto proof = proveGateSumcheckFs<F, Pow4Gate>(
+            par.eq, par.a, par.b, par.c, ptt, kHdgLabels, &point, &exec);
         ASSERT_EQ(proof.rounds, serial_proof.rounds)
             << "threads=" << threads;
         EXPECT_EQ(point, serial_point);

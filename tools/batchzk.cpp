@@ -63,6 +63,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -71,8 +72,8 @@
 #include "BatchzkCli.h"
 #include "core/DurableService.h"
 #include "core/FullSnark.h"
-#include "core/HighDegreeSnark.h"
 #include "core/PipelinedSystem.h"
+#include "core/Protocols.h"
 #include "core/Serialize.h"
 #include "core/Snark.h"
 #include "exec/ExecContext.h"
@@ -99,17 +100,33 @@ constexpr uint8_t kVersion = 2;
 constexpr uint8_t kSystemTable = 0;
 constexpr uint8_t kSystemFull = 1;
 constexpr uint8_t kSystemHdg = 2;
+/** Proof-file system byte of each protocol kind. Table-commit files
+ *  hold a demo-circuit proof (public input 11); every other kind's
+ *  instance comes from its protocol row and has no public inputs. */
+constexpr uint8_t kSystemOfKind[] = {kSystemTable, kSystemHdg};
+static_assert(std::size(kSystemOfKind) == sched::kNumProtocolKinds);
 
 /** --kind for single-protocol commands (mixed is sched-only). */
 sched::ProtocolKind
 kindByName(const std::string &name)
 {
-    if (name == "high-degree-gate")
-        return sched::ProtocolKind::HighDegreeGate;
-    if (name == "table-commit")
-        return sched::ProtocolKind::TableCommit;
+    for (size_t i = 0; i < sched::kNumProtocolKinds; ++i) {
+        auto kind = static_cast<sched::ProtocolKind>(i);
+        if (name == sched::protocolKindName(kind))
+            return kind;
+    }
     fatal("--kind '%s' is not valid here (mixed is sched-only)",
           name.c_str());
+}
+
+/** The protocol kind of a non-full proof file's system byte. */
+sched::ProtocolKind
+kindOfSystem(uint8_t system)
+{
+    for (size_t i = 0; i < sched::kNumProtocolKinds; ++i)
+        if (kSystemOfKind[i] == system)
+            return static_cast<sched::ProtocolKind>(i);
+    return sched::ProtocolKind::TableCommit;
 }
 
 sched::LanePolicy
@@ -182,23 +199,23 @@ cmdProve(const Args &args)
 {
     if (args.log_gates < 8 || args.log_gates > 20)
         fatal("--log-gates must be in [8, 20] for the CLI prover");
-    if (kindByName(args.kind) == sched::ProtocolKind::HighDegreeGate) {
-        // High-degree gate protocol: a^4 * b = c row-wise, instance
-        // regenerable from the seed alone (verify needs only the
-        // proof file).
-        std::printf("building a satisfied high-degree gate instance "
-                    "with 2^%u rows...\n",
-                    args.log_gates);
+    sched::ProtocolKind kind = kindByName(args.kind);
+    if (kind != sched::ProtocolKind::TableCommit) {
+        // The kind's own instance, regenerable from the seed alone
+        // (verify needs only the proof file).
+        std::printf("building a satisfied %s instance with 2^%u "
+                    "rows...\n",
+                    args.kind.c_str(), args.log_gates);
+        const Protocol &p = protocol(kind);
         Rng rng(args.seed);
-        auto tables = highDegreeInstance<Fr>(args.log_gates, rng);
-        HighDegreeSnark<Fr> snark(args.log_gates, args.seed);
+        auto tables = p.instance(args.log_gates, rng);
         exec::ExecContext exec;
-        snark.setExec(&exec);
         Timer timer;
-        auto proof = snark.prove(tables, {});
+        auto blob = *p.prove(tables, args.seed, kDefaultColumnOpenings,
+                             &exec, {});
         std::printf("proved in %.1f ms\n", timer.milliseconds());
-        writeProofFile(args, kSystemHdg,
-                       serializeHighDegreeProof(proof));
+        writeProofFile(args, kSystemOfKind[static_cast<size_t>(kind)],
+                       blob);
         return 0;
     }
     std::printf("building a deterministic satisfied instance with "
@@ -367,24 +384,19 @@ cmdVerify(const Args &args)
         FullSnark<Fr> snark(buildR1cs(circuit), seed);
         timer.reset();
         ok = snark.verify(*proof, inputs);
-    } else if (system == kSystemHdg) {
-        auto proof = deserializeHighDegreeProof<Fr>(blob);
-        if (!proof) {
-            std::printf("REJECT (malformed proof)\n");
-            return 1;
-        }
-        HighDegreeSnark<Fr> snark(proof->commit_a.n_vars, seed);
-        timer.reset();
-        ok = snark.verify(*proof, {});
     } else {
-        auto proof = deserializeProof<Fr>(blob);
-        if (!proof) {
+        sched::ProtocolKind kind = kindOfSystem(system);
+        const Protocol &p = protocol(kind);
+        auto shape = p.shape(blob);
+        if (!shape) {
             std::printf("REJECT (malformed proof)\n");
             return 1;
         }
-        Snark<Fr> snark(proof->commit_a.n_vars, seed);
+        if (kind != sched::ProtocolKind::TableCommit)
+            inputs.clear();
         timer.reset();
-        ok = snark.verify(*proof, inputs);
+        ok = p.verify(blob, shape->n_vars, seed, kDefaultColumnOpenings,
+                      inputs);
     }
     std::printf("%s (verified in %.1f ms)\n", ok ? "ACCEPT" : "REJECT",
                 timer.milliseconds());
@@ -403,9 +415,9 @@ cmdInfo(const Args &args)
     std::printf("file        : %s\n", args.in.c_str());
     std::printf("format      : BZKP v%u\n", kVersion);
     std::printf("system      : %s\n",
-                system == kSystemFull   ? "full (wiring-sound)"
-                : system == kSystemHdg ? "high-degree-gate"
-                                        : "table");
+                system == kSystemFull
+                    ? "full (wiring-sound)"
+                    : sched::protocolKindName(kindOfSystem(system)));
     std::printf("circuit     : ~2^%u gates\n", log_gates);
     std::printf("encoder seed: %llu\n",
                 static_cast<unsigned long long>(seed));
@@ -419,24 +431,15 @@ cmdInfo(const Args &args)
                         proof->phase1.rounds.size(),
                         proof->phase2.rounds.size(),
                         proof->open_w.columns.size());
-    } else if (system == kSystemHdg) {
-        auto proof = deserializeHighDegreeProof<Fr>(blob);
-        std::printf("blob        : %zu bytes (%s)\n", blob.size(),
-                    proof ? "well-formed" : "MALFORMED");
-        if (proof)
-            std::printf("sum-check   : %zu degree-6 rounds; %zu opened "
-                        "columns per table\n",
-                        proof->gate_sc.rounds.size(),
-                        proof->open_a.columns.size());
     } else {
-        auto proof = deserializeProof<Fr>(blob);
+        auto shape = protocol(kindOfSystem(system)).shape(blob);
         std::printf("blob        : %zu bytes (%s)\n", blob.size(),
-                    proof ? "well-formed" : "MALFORMED");
-        if (proof)
-            std::printf("sum-check   : %zu rounds; %zu opened columns "
-                        "per table\n",
-                        proof->constraint_sc.rounds.size(),
-                        proof->open_a.columns.size());
+                    shape ? "well-formed" : "MALFORMED");
+        if (shape)
+            std::printf("sum-check   : %zu rounds of %zu evaluations; "
+                        "%zu opened columns per table\n",
+                        shape->rounds, shape->evals_per_round,
+                        shape->columns);
     }
     return 0;
 }
@@ -660,10 +663,11 @@ cmdSched(const Args &args)
     std::vector<sched::ProofTask> tasks;
     tasks.reserve(sizes.size());
     for (size_t i = 0; i < sizes.size(); ++i) {
+        // mixed: the kinds round-robin by task index.
         sched::ProtocolKind kind =
             args.kind == "mixed"
-                ? (i % 2 ? sched::ProtocolKind::HighDegreeGate
-                         : sched::ProtocolKind::TableCommit)
+                ? static_cast<sched::ProtocolKind>(
+                      i % sched::kNumProtocolKinds)
                 : kindByName(args.kind);
         tasks.push_back(makeProofTask(kind, sizes[i], opt.seed, i));
     }
@@ -819,18 +823,8 @@ cmdSubmit(const Args &args)
                          result ? "rejected" : "connection lost");
             return 1;
         }
-        bool proof_ok = false;
-        if (kind == sched::ProtocolKind::HighDegreeGate) {
-            auto proof =
-                deserializeHighDegreeProof<Fr>(result->proof);
-            HighDegreeSnark<Fr> snark(task.n_vars, task.seed);
-            proof_ok = proof && snark.verify(*proof, {});
-        } else {
-            auto proof = deserializeProof<Fr>(result->proof);
-            Snark<Fr> snark(task.n_vars, task.seed);
-            proof_ok = proof && snark.verify(*proof, {});
-        }
-        if (!proof_ok) {
+        if (!protocol(kind).verify(result->proof, task.n_vars, task.seed,
+                                   kDefaultColumnOpenings, {})) {
             std::fprintf(stderr,
                          "submit: task %llu proof REJECTED\n",
                          static_cast<unsigned long long>(task.task_id));
